@@ -13,6 +13,7 @@ import (
 
 	"lgvoffload/internal/costmap"
 	"lgvoffload/internal/geom"
+	"lgvoffload/internal/grid"
 	"lgvoffload/internal/msg"
 	"lgvoffload/internal/obs"
 	"lgvoffload/internal/slam"
@@ -52,6 +53,40 @@ func TestAllocTrackerPlanSteadyState(t *testing.T) {
 	})
 	if allocs > 2 {
 		t.Errorf("PlanParallel steady state allocates %.1f/op, want <= 2", allocs)
+	}
+}
+
+// TestAllocCostmapSteadyState: once the obstacle list and the dirty-tile
+// queue have grown to the scan stream's working set, a CostmapGen update
+// (navigation's Update and exploration's SetStaticAndUpdate) and the
+// tracker's footprint test allocate nothing.
+func TestAllocCostmapSteadyState(t *testing.T) {
+	cm, poses, scans := costmapScans(64)
+	half := world.LabMap()
+	for i := range half.Cells {
+		if i%half.Width > half.Width/2 {
+			half.Cells[i] = grid.Unknown
+		}
+	}
+	for i := range scans { // warm the obstacle list and the tile queue
+		cm.Update(poses[i], scans[i])
+		cm.SetStaticAndUpdate(half, poses[i], scans[i])
+	}
+	k := 0
+	allocs := testing.AllocsPerRun(50, func() {
+		cm.Update(poses[k%len(scans)], scans[k%len(scans)])
+		cm.SetStaticAndUpdate(half, poses[k%len(scans)], scans[k%len(scans)])
+		k++
+	})
+	if allocs > 0 {
+		t.Errorf("costmap update allocates %.1f/op, want 0", allocs)
+	}
+	allocs = testing.AllocsPerRun(1000, func() {
+		footCost = cm.FootprintCost(geom.V(0.1+0.011*float64(k%1000), 3))
+		k++
+	})
+	if allocs > 0 {
+		t.Errorf("FootprintCost allocates %.1f/op, want 0", allocs)
 	}
 }
 

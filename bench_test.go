@@ -17,10 +17,12 @@ import (
 	"lgvoffload/internal/costmap"
 	"lgvoffload/internal/energy"
 	"lgvoffload/internal/geom"
+	"lgvoffload/internal/grid"
 	"lgvoffload/internal/hostsim"
 	"lgvoffload/internal/msg"
 	"lgvoffload/internal/mw"
 	"lgvoffload/internal/netsim"
+	"lgvoffload/internal/sensor"
 	"lgvoffload/internal/slam"
 	"lgvoffload/internal/timing"
 	"lgvoffload/internal/trace"
@@ -145,6 +147,85 @@ func BenchmarkFig10VDP_S200_T1(b *testing.B)  { benchVDP(b, 200, 1) }
 func BenchmarkFig10VDP_S1000_T1(b *testing.B) { benchVDP(b, 1000, 1) }
 func BenchmarkFig10VDP_S1000_T4(b *testing.B) { benchVDP(b, 1000, 4) }
 func BenchmarkFig10VDP_S2000_T8(b *testing.B) { benchVDP(b, 2000, 8) }
+
+// --- CostmapGen: the Velocity-Dependent Path's costmap kernels ------------
+
+// costmapScans returns a lab costmap with its static layer set and n
+// noisy LDS-01 scans taken along a pass through the lab, the input of the
+// costmap benches.
+func costmapScans(n int) (*costmap.Costmap, []geom.Pose, []*sensor.Scan) {
+	m := world.LabMap()
+	cm := costmap.New(costmap.DefaultConfig(m.Width, m.Height, m.Resolution, m.Origin))
+	cm.SetStatic(m)
+	l := sensor.NewLDS01(0.01, rand.New(rand.NewSource(1)))
+	poses := make([]geom.Pose, n)
+	scans := make([]*sensor.Scan, n)
+	for i := range poses {
+		// Along y ≈ 3 m, through the door gap and clear of the furniture.
+		poses[i] = geom.P(0.8+10*float64(i)/float64(n), 2.9+0.05*float64(i%5), 0.1*float64(i))
+		scans[i] = l.Sense(m, poses[i], float64(i))
+	}
+	return cm, poses, scans
+}
+
+// BenchmarkCostmapUpdateLab is one navigation CostmapGen update: clear
+// and mark the obstacle layer from a scan, then compose and inflate the
+// master grid (billed as a full rebuild).
+func BenchmarkCostmapUpdateLab(b *testing.B) {
+	cm, poses, scans := costmapScans(64)
+	for i := range scans { // warm the obstacle layer and its lists
+		cm.Update(poses[i], scans[i])
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		k := i % len(scans)
+		cmStats = cm.Update(poses[k], scans[k])
+	}
+}
+
+// BenchmarkCostmapExploreTick is one exploration CostmapGen tick: the SLAM
+// map replaces the static layer (re-inflated once), then the scan update.
+// At the parent commit the same tick was SetStatic followed by Update.
+func BenchmarkCostmapExploreTick(b *testing.B) {
+	cm, poses, scans := costmapScans(64)
+	// A half-explored lab: the far part of the map is still unknown.
+	m := world.LabMap()
+	for i := range m.Cells {
+		if i%m.Width > m.Width/2 {
+			m.Cells[i] = grid.Unknown
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		k := i % len(scans)
+		cmStats = cm.SetStaticAndUpdate(m, poses[k], scans[k])
+	}
+}
+
+// BenchmarkFootprintCost is one trajectory-sample collision check on the
+// lab costmap (ns/op is per call), over points in free space, inflated
+// space and against walls.
+func BenchmarkFootprintCost(b *testing.B) {
+	cm, _, _ := costmapScans(1)
+	rng := rand.New(rand.NewSource(5))
+	pts := make([]geom.Vec2, 1024)
+	for i := range pts {
+		pts[i] = geom.V(0.1+11.8*rng.Float64(), 0.1+5.8*rng.Float64())
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		footCost = cm.FootprintCost(pts[i&(len(pts)-1)])
+	}
+}
+
+// Sinks keep the measured calls live.
+var (
+	cmStats  costmap.UpdateStats
+	footCost uint8
+)
 
 // --- Fig. 11: the wireless walk ---------------------------------------------
 

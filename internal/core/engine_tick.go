@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 
+	"lgvoffload/internal/costmap"
 	"lgvoffload/internal/coverage"
 	"lgvoffload/internal/explore"
 	"lgvoffload/internal/geom"
@@ -134,11 +135,13 @@ func (e *engine) controlTick(now float64) {
 	}
 
 	// --- CostmapGen. --------------------------------------------------------
+	var cmStats costmap.UpdateStats
 	if cfg.Workload == ExplorationNoMap && e.slm.Updates() > 0 {
 		// The SLAM map refreshes the static layer before obstacle marking.
-		e.cm.SetStatic(e.slm.Map())
+		cmStats = e.cm.SetStaticAndUpdate(e.slm.Map(), e.pose, scan)
+	} else {
+		cmStats = e.cm.Update(e.pose, scan)
 	}
-	cmStats := e.cm.Update(e.pose, scan)
 	cmWork := CostmapWork(cmStats.Total())
 	e.counter.Account(NodeCostmap, cmWork)
 	cmHost := e.placement.Of(NodeCostmap)

@@ -349,12 +349,20 @@ func (g *LogOdds) writable(ti int) *tile {
 	}
 	if t.ref.Load() > 1 {
 		nt := newTileCopy(t)
+		g.tiles[ti] = nt
+		g.copied += TileCells
 		// Release after the copy: a peer observing the decremented count
 		// is guaranteed to see our reads complete, so its in-place writes
 		// (once it is the sole owner) cannot race the copy above.
-		t.ref.Add(-1)
-		g.tiles[ti] = nt
-		g.copied += TileCells
+		if t.ref.Add(-1) == 0 {
+			// Every other sharer copied away at the same time, so in any
+			// serial order the last of us would have written in place:
+			// bill no copy and recycle the orphaned tile. The billed
+			// copies are then min(writers, sharers-1) however the
+			// writers interleave.
+			g.copied -= TileCells
+			tilePool.Put(t)
+		}
 		return nt
 	}
 	return t

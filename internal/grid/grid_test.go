@@ -3,6 +3,7 @@ package grid
 import (
 	"bytes"
 	"math"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -281,6 +282,54 @@ func TestLogOddsCloneChain(t *testing.T) {
 	g.IntegrateBeam(from, 0, 2.0, true)
 	if n := g.TakeCopied(); n != 0 {
 		t.Errorf("sole-owner write copied %d cells, want 0", n)
+	}
+}
+
+// TestLogOddsConcurrentCOWBillsSerialCount: k grids sharing one tile all
+// write it at once from goroutines released together (the SLAM update's
+// parallel section). However the copy-on-write detaches interleave, the
+// copies billed through TakeCopied must be the serial count, k-1 tiles:
+// when every writer copies, the last release finds the tile orphaned and
+// takes its copy back. Every writer must also end up with the same data.
+func TestLogOddsConcurrentCOWBillsSerialCount(t *testing.T) {
+	from, end := geom.V(0.05, 0.05), geom.V(1.05, 0.05) // one tile's worth of row
+	for _, k := range []int{2, 3, 4} {
+		for round := 0; round < 500; round++ {
+			base := NewLogOdds(tileDim, tileDim, 0.1, geom.V(0, 0))
+			grids := []*LogOdds{base}
+			for len(grids) < k {
+				grids = append(grids, base.Clone())
+			}
+			start := make(chan struct{})
+			var ready, done sync.WaitGroup
+			ready.Add(k)
+			done.Add(k)
+			for _, g := range grids {
+				go func(g *LogOdds) {
+					defer done.Done()
+					ready.Done()
+					<-start
+					g.IntegrateBeamTo(from, end, true)
+				}(g)
+			}
+			ready.Wait()
+			close(start)
+			done.Wait()
+			sum := 0
+			for _, g := range grids {
+				sum += g.TakeCopied()
+			}
+			if sum != (k-1)*TileCells {
+				t.Fatalf("k=%d round %d: billed %d copied cells, want %d", k, round, sum, (k-1)*TileCells)
+			}
+			want := grids[0].AtQ(geom.Cell{X: 10, Y: 0})
+			for i, g := range grids {
+				if got := g.AtQ(geom.Cell{X: 10, Y: 0}); got != want || got == 0 {
+					t.Fatalf("k=%d round %d: grid %d reads %d, grid 0 %d", k, round, i, got, want)
+				}
+				g.Release()
+			}
+		}
 	}
 }
 
